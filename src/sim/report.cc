@@ -124,6 +124,16 @@ std::string RunReport::Summary() const {
       out += buf;
     }
   }
+  const int64_t wall_queries = wall_memo_hits + wall_memo_misses;
+  if (wall_queries != 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "\n  wall_memo: hits=%lld misses=%lld (%.1f%% hit)",
+                  static_cast<long long>(wall_memo_hits),
+                  static_cast<long long>(wall_memo_misses),
+                  100.0 * static_cast<double>(wall_memo_hits) /
+                      static_cast<double>(wall_queries));
+    out += buf;
+  }
   if (!wire_audit.empty()) {
     std::snprintf(buf, sizeof(buf),
                   "\n  wire: verify_failures=%lld unencodable=%lld "

@@ -77,6 +77,12 @@ struct RunReport {
   /// Wall-time events executed (simulator load indicator).
   size_t events_run = 0;
 
+  /// Host work of move pricing: wall counts answered from the world's
+  /// memo, and wall counts computed (one per distinct query). Host-side
+  /// only, so DigestReport leaves them out.
+  int64_t wall_memo_hits = 0;
+  int64_t wall_memo_misses = 0;
+
   double MeanResponseMs() const {
     return response_us.Mean() / static_cast<double>(kMicrosPerMilli);
   }

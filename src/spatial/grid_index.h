@@ -14,17 +14,18 @@
 
 namespace seve {
 
-/// Uniform-grid spatial index over 64-bit item keys.
+/// Uniform-grid spatial index over 64-bit item keys whose boxes move.
 ///
-/// Used for the 100,000-wall Manhattan People world (static items inserted
-/// once) and for avatar proximity queries (items moved every tick). Items
-/// are stored in every cell their AABB overlaps; queries deduplicate via a
-/// per-item visit stamp, so results contain each item once.
+/// Indexes client positions for SEVE's push routing and the RING
+/// baseline's filter: items moved every tick. The static walls live in
+/// WallField's immutable CSR grid instead. Items are stored in
+/// every cell their AABB overlaps; queries deduplicate via a per-item
+/// visit stamp, so results contain each item once.
 ///
 /// Hot-path layout: item records live in a slot-indexed slab (`recs_`)
 /// carrying the dedup stamp inline, and each cell stores 32-bit slot
-/// indices with a small inline capacity — the visibility query that
-/// dominates per-move cost touches no hash table and allocates nothing.
+/// indices with a small inline capacity — a routing query touches no
+/// hash table and allocates nothing.
 class GridIndex {
  public:
   /// `bounds` is the world rectangle; `cell_size` trades memory for query
@@ -117,7 +118,7 @@ class GridIndex {
 
   /// Per-cell list of item slots: small counts (the common case — avatar
   /// cells hold a handful of items) stay inline in the cells_ array
-  /// itself; dense wall cells spill to a heap array.
+  /// itself; crowded cells spill to a heap array.
   class CellVec {
    public:
     CellVec() = default;

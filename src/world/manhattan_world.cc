@@ -1,6 +1,7 @@
 #include "world/manhattan_world.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -149,13 +150,36 @@ int ManhattanWorld::CountAvatarsNear(const WorldState& state, Vec2 pos,
   return count;
 }
 
+size_t ManhattanWorld::WallQueryHash::operator()(const WallQuery& q) const {
+  // SplitMix64 finalizer chained over the three words: FlatMap keeps only
+  // the low bits, so every input bit must reach them.
+  auto mix = [](uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  return static_cast<size_t>(mix(mix(mix(q.x) ^ q.y) ^ q.range));
+}
+
 int ManhattanWorld::CountWallsNear(Vec2 pos, double range) const {
-  return walls_->CountNear(pos, range);
+  const WallQuery key{std::bit_cast<uint64_t>(pos.x),
+                      std::bit_cast<uint64_t>(pos.y),
+                      std::bit_cast<uint64_t>(range)};
+  auto [count, inserted] = wall_memo_.TryEmplace(key);
+  if (inserted) {
+    *count = walls_->CountNear(pos, range);
+  } else {
+    ++wall_memo_hits_;
+  }
+  return *count;
 }
 
 Micros ManhattanWorld::MoveCostAt(const WorldState& view, Vec2 pos,
                                   const CostModel& cost) const {
-  const int visible_walls = CountWallsNear(pos, config_.visibility);
+  const int visible_walls = CountWallsNear(
+      pos, config_.visibility * cost.wall_check_radius_factor);
   const int visible_avatars =
       CountAvatarsNear(view, pos, config_.visibility, ObjectId::Invalid());
   return cost.MoveCost(visible_walls, visible_avatars);

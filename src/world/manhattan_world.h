@@ -1,9 +1,11 @@
 #ifndef SEVE_WORLD_MANHATTAN_WORLD_H_
 #define SEVE_WORLD_MANHATTAN_WORLD_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "spatial/aabb.h"
@@ -92,18 +94,45 @@ class ManhattanWorld {
   int CountAvatarsNear(const WorldState& state, Vec2 pos, double range,
                        ObjectId exclude) const;
 
-  /// Walls within `range` of `pos`.
+  /// Walls within `range` of `pos`: `walls()->CountNear(pos, range)`,
+  /// counted once per distinct (pos, range) bit pattern. Walls never
+  /// change, so a repeated query — every replica that evaluates one move,
+  /// an avatar pinned against a wall — reads the memo. Updates the memo:
+  /// not for concurrent calls on one world (each run owns its world).
   int CountWallsNear(Vec2 pos, double range) const;
 
-  /// CPU cost of evaluating one move submitted at `pos` given `view`
-  /// (visible walls and avatars priced by `cost`).
+  /// CPU cost of evaluating one move submitted at `pos` given `view`:
+  /// walls within visibility x `cost.wall_check_radius_factor` and other
+  /// avatars within visibility, priced by `cost`.
   Micros MoveCostAt(const WorldState& view, Vec2 pos,
                     const CostModel& cost) const;
 
+  /// CountWallsNear calls answered from the memo, and calls that counted
+  /// (one per distinct query).
+  int64_t wall_memo_hits() const { return wall_memo_hits_; }
+  int64_t wall_memo_misses() const {
+    return static_cast<int64_t>(wall_memo_.size());
+  }
+
  private:
+  /// Exact memo key: the bit patterns of the query's x, y and range.
+  struct WallQuery {
+    uint64_t x = 0;
+    uint64_t y = 0;
+    uint64_t range = 0;
+    bool operator==(const WallQuery&) const = default;
+  };
+  struct WallQueryHash {
+    size_t operator()(const WallQuery& q) const;
+  };
+
   WorldConfig config_;
   std::shared_ptr<const WallField> walls_;
   WorldState initial_state_;
+  // Host-side cache only: every caller is still charged for the walls it
+  // counts. Owned by this world, so runs on other threads never share it.
+  mutable FlatMap<WallQuery, int, WallQueryHash> wall_memo_;
+  mutable int64_t wall_memo_hits_ = 0;
 };
 
 }  // namespace seve

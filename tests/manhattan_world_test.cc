@@ -1,5 +1,8 @@
 #include "world/manhattan_world.h"
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "world/attrs.h"
@@ -147,6 +150,70 @@ TEST(ManhattanWorldTest, MoveCostGrowsWithWallDensity) {
   EXPECT_GT(dense_world.MoveCostAt(dense_world.InitialState(), center, cost),
             sparse_world.MoveCostAt(sparse_world.InitialState(), center,
                                     cost));
+}
+
+// One function prices a move: walls out to visibility x the cost model's
+// wall-check factor (the paper's ~1,000 checked walls), avatars out to
+// visibility.
+TEST(ManhattanWorldTest, MoveCostAtPricesWallCheckRadius) {
+  WorldConfig cfg = SmallConfig();
+  cfg.num_walls = 4000;
+  cfg.num_avatars = 30;
+  ManhattanWorld world(cfg, 3);
+  const WorldState& view = world.InitialState();
+  for (const double factor : {1.0, 1.9}) {
+    CostModel cost;
+    cost.wall_check_radius_factor = factor;
+    for (const Vec2 pos : {Vec2{100.0, 100.0}, Vec2{20.0, 170.0}}) {
+      const int walls =
+          world.walls()->CountNear(pos, cfg.visibility * factor);
+      const int avatars = world.CountAvatarsNear(view, pos, cfg.visibility,
+                                                 ObjectId::Invalid());
+      EXPECT_EQ(world.MoveCostAt(view, pos, cost),
+                cost.MoveCost(walls, avatars))
+          << "factor " << factor;
+    }
+  }
+}
+
+TEST(ManhattanWorldTest, CountWallsNearMemoizesExactQueries) {
+  WorldConfig cfg = SmallConfig();
+  cfg.num_walls = 2000;
+  ManhattanWorld world(cfg, 4);
+  EXPECT_EQ(world.wall_memo_hits(), 0);
+  EXPECT_EQ(world.wall_memo_misses(), 0);
+
+  Rng rng(9);
+  std::vector<Vec2> spots;
+  for (int i = 0; i < 20; ++i) {
+    spots.push_back({rng.NextDouble(0.0, 200.0), rng.NextDouble(0.0, 200.0)});
+  }
+  // A position 1 ulp away from another is a distinct query.
+  spots.push_back({std::nextafter(spots[0].x, 1e9), spots[0].y});
+  int64_t calls = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const Vec2 p : spots) {
+      EXPECT_EQ(world.CountWallsNear(p, 57.0),
+                world.walls()->CountNear(p, 57.0));
+      ++calls;
+    }
+  }
+  EXPECT_EQ(world.wall_memo_misses(), static_cast<int64_t>(spots.size()));
+  EXPECT_EQ(world.wall_memo_hits() + world.wall_memo_misses(), calls);
+
+  // Two radii at one position are separate entries.
+  const Vec2 p{100.0, 100.0};
+  const int64_t misses = world.wall_memo_misses();
+  const int near = world.CountWallsNear(p, 10.0);
+  const int far = world.CountWallsNear(p, 40.0);
+  EXPECT_EQ(near, world.walls()->CountNear(p, 10.0));
+  EXPECT_EQ(far, world.walls()->CountNear(p, 40.0));
+  EXPECT_LT(near, far);
+  EXPECT_EQ(world.wall_memo_misses(), misses + 2);
+  EXPECT_EQ(world.CountWallsNear(p, 10.0), near);
+  EXPECT_EQ(world.CountWallsNear(p, 40.0), far);
+  EXPECT_EQ(world.wall_memo_misses(), misses + 2);
+  EXPECT_EQ(world.wall_memo_hits() + world.wall_memo_misses(), calls + 4);
 }
 
 TEST(CostModelTest, MoveCostFormula) {

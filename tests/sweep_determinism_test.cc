@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +154,20 @@ TEST(DigestReportTest, SensitiveToEachReportDimension) {
   tweaked = base;
   tweaked.drop_rate += 0.25;
   EXPECT_NE(DigestReport(tweaked), base_digest);
+}
+
+// Memo counts are host work, not simulated outcome: reports that differ
+// only there digest equally, so digests stay comparable across changes
+// to the host-side pricing.
+TEST(DigestReportTest, IgnoresWallMemoCounts) {
+  const RunReport base = RunScenario(Architecture::kSeve, SmallScenario(4, 42));
+  EXPECT_GT(base.wall_memo_hits, 0);
+  EXPECT_GT(base.wall_memo_misses, 0);
+  EXPECT_NE(base.Summary().find("wall_memo: hits="), std::string::npos);
+  RunReport tweaked = base;
+  tweaked.wall_memo_hits += 5;
+  tweaked.wall_memo_misses = 0;
+  EXPECT_EQ(DigestReport(tweaked), DigestReport(base));
 }
 
 TEST(SweepTest, DefaultJobsIsAtLeastOne) {
